@@ -5,11 +5,10 @@
 
 use crate::config::ExtractConfig;
 use crate::examples::{ClassMap, CLASS_NAME, CLASS_OTHER};
-use crate::features::{FeatureScratch, FeatureSpace};
+use crate::features::FeatureSpace;
 use crate::page::PageView;
 use ceres_kb::PredId;
 use ceres_ml::LogReg;
-use ceres_runtime::Runtime;
 use ceres_text::nan_lowest;
 
 /// What an extraction asserts.
@@ -52,16 +51,16 @@ pub fn extract_page(
     if page.fields.is_empty() {
         return out;
     }
-    // One scratch for the whole page: every field's vectorization reuses
-    // the same name/index buffers, and every prediction writes into the
-    // same score scratch (zero transient allocations per node). Posteriors
-    // land in one flat `n_fields × n_classes` buffer.
-    let mut scratch = FeatureScratch::new();
+    // One featurizer for the whole page: structural blocks and nearby-text
+    // names shared between fields resolve once. Every prediction writes
+    // into the same score scratch; posteriors land in one flat
+    // `n_fields × n_classes` buffer.
+    let mut featurizer = space.page_featurizer(page);
     let mut scores = ceres_ml::ScoreScratch::new();
     let k = model.n_classes();
     let mut probs = vec![0.0f64; page.fields.len() * k];
     for (fi, f) in page.fields.iter().enumerate() {
-        let x = space.features_frozen_with(page, f.node, &mut scratch);
+        let x = featurizer.features(f.node);
         probs[fi * k..(fi + 1) * k].copy_from_slice(model.predict_proba_into(&x, &mut scores));
     }
     let row = |fi: usize| &probs[fi * k..(fi + 1) * k];
@@ -119,34 +118,6 @@ pub fn extract_page(
         });
     }
     out
-}
-
-/// Run extraction over `pages` sequentially, results in page order.
-pub fn extract_pages(
-    pages: &[&PageView],
-    model: &LogReg,
-    space: &FeatureSpace,
-    class_map: &ClassMap,
-    cfg: &ExtractConfig,
-) -> Vec<Extraction> {
-    extract_pages_on(&Runtime::sequential(), pages, model, space, class_map, cfg)
-}
-
-/// [`extract_pages`] with the per-page fan-out on `rt`. The merged output
-/// is byte-identical for every thread count (page order is preserved).
-pub fn extract_pages_on(
-    rt: &Runtime,
-    pages: &[&PageView],
-    model: &LogReg,
-    space: &FeatureSpace,
-    class_map: &ClassMap,
-    cfg: &ExtractConfig,
-) -> Vec<Extraction> {
-    debug_assert!(space.is_frozen(), "freeze the feature space before extraction");
-    rt.par_map(pages, |page| extract_page(page, model, space, class_map, cfg))
-        .into_iter()
-        .flatten()
-        .collect()
 }
 
 #[cfg(test)]
@@ -224,7 +195,7 @@ mod tests {
              <span>c4</span><span>c5</span><span>c6</span></div></body></html>",
             &kb,
         );
-        let ex = extract_pages(&[&unseen], &model, &space, &class_map, &ExtractConfig::default());
+        let ex = extract_page(&unseen, &model, &space, &class_map, &ExtractConfig::default());
         let name = ex.iter().find(|e| e.label == ExtractLabel::Name).expect("name found");
         assert_eq!(name.object, "Totally New Film");
         let dir = ex

@@ -14,12 +14,13 @@
 //!
 //! Vectorizing a node used to materialize a `Vec<String>` of feature names
 //! (one heap string per feature per node, re-`format!`ed with a role prefix
-//! for pairs). The hot paths now **stream** names instead: every name is
-//! assembled in a reusable [`NameBuf`] and handed to a [`FeatureSink`] as a
-//! `&str` that is valid only for the duration of the call. The sinks are:
+//! for pairs). The training paths now **stream** names instead: every name
+//! is assembled in a reusable [`NameBuf`] and handed to a [`FeatureSink`]
+//! as a `&str` that is valid only for the duration of the call. The sinks
+//! are:
 //!
 //! * an *interning* sink (training: `&mut FeatureDict`),
-//! * a *lookup* sink (frozen extraction: `&FeatureDict`),
+//! * a *lookup* sink (the baseline's frozen pair path: `&FeatureDict`),
 //! * a [`NameArena`] (the parallel name-collection pass of
 //!   `build_training_on`, which packs names end-to-end for the sequential
 //!   interning pass),
@@ -30,12 +31,35 @@
 //! vectorization performs no transient allocations: the only allocation is
 //! the exact-size output `SparseVec`.
 //!
+//! ## Page-scoped featurization (the serve path)
+//!
+//! Single-node extraction goes through one door,
+//! [`FeatureSpace::page_featurizer`]: a [`PageFeaturizer`] borrows a
+//! frozen space and one page, and memoizes for that page only
+//!
+//! * each **structural block** — a chain node's tag/attribute tuples, its
+//!   `s:sib` tuple and (above level 0) its sibling window — keyed by
+//!   (node, level), since sibling fields share almost every ancestor block;
+//! * each **nearby-text feature**, keyed by (LCA, levels up, field index):
+//!   the name `t:{norm}@^{up}{path from the LCA down to the field}` is a
+//!   function of exactly those three values;
+//! * each field's **frequent-string flag**, probed once per page instead of
+//!   once per (node, field) pair.
+//!
+//! The output is byte-identical to resolving every streamed name against
+//! the frozen dictionary: a vector is the *set* of ids found
+//! (`SparseVec::from_indices_buf` sorts and dedups, so emission order and
+//! repeats are irrelevant), and lookups into a frozen dictionary are pure.
+//! Both paths walk the same chain (`block_chain`) and the same
+//! nearby-text scan (`nearby_fields`: scope, order and the
+//! `max_nearby_fields` cap); only the name lookups are memoized.
+//!
 //! Ground-truth hygiene: all `data-*` attributes — in particular the
 //! generator's `data-gt` — are excluded from features (unit-tested below).
 
 use crate::config::FeatureConfig;
-use crate::page::PageView;
-use ceres_dom::NodeId;
+use crate::page::{FieldInfo, PageView};
+use ceres_dom::{Document, NodeId};
 use ceres_ml::{FeatureDict, SparseVec};
 use ceres_store::{Decode, Encode, Error as StoreError, Reader, Writer};
 use ceres_text::{FxHashMap, FxHashSet};
@@ -52,13 +76,12 @@ pub trait FeatureSink {
 }
 
 /// Reusable assembly state for streaming feature names: the name buffer
-/// (with an optional role prefix for pair features) plus the node-chain
-/// and sibling-window scratch vectors the structural emitter needs.
+/// (with an optional role prefix for pair features) plus the
+/// sibling-window scratch vector the structural emitter needs.
 #[derive(Debug, Default)]
 pub struct NameBuf {
     s: String,
     prefix: usize,
-    chain: Vec<NodeId>,
     sibs: Vec<(isize, NodeId)>,
 }
 
@@ -236,10 +259,10 @@ impl FeatureSpace {
     }
 
     /// Freeze the dictionary: extraction-time features not seen in training
-    /// are dropped. After freezing, the lookup-only
-    /// [`FeatureSpace::features_frozen`] / [`FeatureSpace::pair_features_frozen`]
-    /// twins work through `&self`, so the parallel extract stage shares one
-    /// space across threads without cloning.
+    /// are dropped. After freezing, [`FeatureSpace::page_featurizer`] and
+    /// [`FeatureSpace::pair_features_frozen`] work through `&self`, so the
+    /// parallel extract stage shares one space across threads without
+    /// cloning.
     pub fn freeze(&mut self) {
         self.dict.freeze();
     }
@@ -298,27 +321,27 @@ impl FeatureSpace {
         SparseVec::from_indices_buf(idx)
     }
 
-    /// Lookup-only twin of [`FeatureSpace::features`] for a frozen space.
-    /// On a frozen dictionary `intern` and `get` coincide, so the returned
-    /// vector is identical to what `features` would produce.
-    pub fn features_frozen(&self, page: &PageView, node: NodeId) -> SparseVec {
-        self.features_frozen_with(page, node, &mut FeatureScratch::new())
-    }
-
-    /// [`FeatureSpace::features_frozen`] through caller-owned buffers —
-    /// the per-(cluster, page) extract tasks keep one scratch alive across
-    /// every field they classify.
-    pub fn features_frozen_with(
-        &self,
-        page: &PageView,
-        node: NodeId,
-        scratch: &mut FeatureScratch,
-    ) -> SparseVec {
+    /// The frozen single-node door: a featurizer for the nodes of `page`
+    /// whose memos live and die with it (see the module docs). On a frozen
+    /// dictionary `intern` and `get` coincide, so each vector equals what
+    /// [`FeatureSpace::features`] would produce.
+    pub fn page_featurizer<'a>(&'a self, page: &'a PageView) -> PageFeaturizer<'a> {
         debug_assert!(self.dict.is_frozen(), "freeze the feature space before extraction");
-        let FeatureScratch { buf, idx } = scratch;
-        let mut sink = FrozenSink { dict: &self.dict, idx };
-        emit_names(&self.frequent_set, &self.cfg, page, node, buf, &mut sink);
-        SparseVec::from_indices_buf(idx)
+        let frequent = if self.cfg.enable_text && !self.frequent_set.is_empty() {
+            page.fields.iter().map(|f| self.frequent_set.contains(&f.norm)).collect()
+        } else {
+            Vec::new()
+        };
+        PageFeaturizer {
+            space: self,
+            page,
+            frequent,
+            blocks: FxHashMap::default(),
+            block_ids: Vec::new(),
+            text: FxHashMap::default(),
+            buf: NameBuf::default(),
+            idx: Vec::new(),
+        }
     }
 
     /// Feature vector for a *pair* of nodes: each node's features prefixed
@@ -424,6 +447,87 @@ impl Decode for FeatureSpace {
     }
 }
 
+/// Frozen-space featurizer scoped to one page, built by
+/// [`FeatureSpace::page_featurizer`]. Every memo is keyed by nodes and
+/// field indices of this page only, so nothing carries over to the next
+/// page; the featurizer is dropped with it.
+#[derive(Debug)]
+pub struct PageFeaturizer<'a> {
+    space: &'a FeatureSpace,
+    page: &'a PageView,
+    /// Per field: is its `norm` in the frequent-string lexicon? Empty when
+    /// text features are off or the lexicon is empty.
+    frequent: Vec<bool>,
+    /// Structural block per (chain node, level): a range of `block_ids`.
+    blocks: FxHashMap<(NodeId, usize), (usize, usize)>,
+    /// The resolved ids of every memoized block, end to end.
+    block_ids: Vec<u32>,
+    /// Nearby-text feature id per (LCA, levels up, field index); `None`
+    /// when the name is not in the dictionary.
+    text: FxHashMap<(NodeId, usize, usize), Option<u32>>,
+    buf: NameBuf,
+    idx: Vec<u32>,
+}
+
+impl PageFeaturizer<'_> {
+    /// The feature vector of `node` — equal to resolving every name of
+    /// [`FeatureSpace::emit_names`] against the frozen dictionary.
+    pub fn features(&mut self, node: NodeId) -> SparseVec {
+        if self.space.cfg.enable_structural {
+            self.structural(node);
+        }
+        if !self.frequent.is_empty() {
+            self.nearby_text(node);
+        }
+        SparseVec::from_indices_buf(&mut self.idx)
+    }
+
+    /// Each block resolves once per page.
+    fn structural(&mut self, node: NodeId) {
+        let page = self.page;
+        let cfg = &self.space.cfg;
+        for (level, n) in block_chain(cfg, &page.doc, node) {
+            let (lo, hi) = match self.blocks.get(&(n, level)) {
+                Some(&range) => range,
+                None => {
+                    let lo = self.block_ids.len();
+                    let mut sink = FrozenSink { dict: &self.space.dict, idx: &mut self.block_ids };
+                    emit_block(cfg, page, n, level, &mut self.buf, &mut sink);
+                    let range = (lo, self.block_ids.len());
+                    self.blocks.insert((n, level), range);
+                    range
+                }
+            };
+            self.idx.extend_from_slice(&self.block_ids[lo..hi]);
+        }
+    }
+
+    /// Each name resolves once per page.
+    fn nearby_text(&mut self, node: NodeId) {
+        let page = self.page;
+        let doc = &page.doc;
+        for (fi, f) in nearby_fields(&self.space.cfg, page, node) {
+            if !self.frequent[fi] {
+                continue;
+            }
+            // The LCA is the nearest ancestor-or-self of `node` holding
+            // `f.node`: the scan's scope at the latest, so the uncached
+            // fallback never runs on a well-formed tree.
+            let lca = std::iter::once(node)
+                .chain(doc.ancestors(node))
+                .enumerate()
+                .find(|&(_, a)| page.in_subtree(a, f.node));
+            let (dict, buf) = (&self.space.dict, &mut self.buf);
+            let mut resolve = || dict.get(text_name(buf, doc, &f.norm, node, f.node));
+            let id = match lca {
+                Some((up, a)) => *self.text.entry((a, up, fi)).or_insert_with(resolve),
+                None => resolve(),
+            };
+            self.idx.extend(id);
+        }
+    }
+}
+
 /// The one true emitter: structural then text features, every name
 /// assembled in `buf` and streamed to `sink`.
 fn emit_names(
@@ -435,51 +539,60 @@ fn emit_names(
     sink: &mut dyn FeatureSink,
 ) {
     if cfg.enable_structural {
-        structural_features(cfg, page, node, buf, sink);
+        for (level, n) in block_chain(cfg, &page.doc, node) {
+            emit_block(cfg, page, n, level, buf, sink);
+        }
     }
     if cfg.enable_text {
         text_features(frequent_set, cfg, page, node, buf, sink);
     }
 }
 
-fn structural_features(
+/// The chain nodes that carry a structural block, with their levels: the
+/// node itself (level 0) and up to `max_ancestor_levels` ancestors,
+/// elements only, never the document root.
+fn block_chain<'d>(
+    cfg: &FeatureConfig,
+    doc: &'d Document,
+    node: NodeId,
+) -> impl Iterator<Item = (usize, NodeId)> + 'd {
+    std::iter::once(node)
+        .chain(doc.ancestors(node).take(cfg.max_ancestor_levels))
+        .enumerate()
+        .filter(move |&(_, n)| doc.node(n).is_element() && n != doc.root())
+}
+
+/// The structural block of chain node `n` at `level`: its own tuples, its
+/// sibling number, and — above level 0 — its sibling window. A function
+/// of (`n`, `level`) alone, which is what lets [`PageFeaturizer`] memoize
+/// it.
+fn emit_block(
     cfg: &FeatureConfig,
     page: &PageView,
-    node: NodeId,
+    n: NodeId,
+    level: usize,
     buf: &mut NameBuf,
     sink: &mut dyn FeatureSink,
 ) {
     let doc = &page.doc;
-    // Chain: the node itself (level 0) and its ancestors. The chain and
-    // sibling-window vectors are borrowed out of the scratch for the loop
-    // (they cannot be used while `buf` assembles names).
-    let mut chain = std::mem::take(&mut buf.chain);
-    let mut sibs = std::mem::take(&mut buf.sibs);
-    chain.clear();
-    chain.push(node);
-    chain.extend(doc.ancestors(node).take(cfg.max_ancestor_levels));
-    for (level, &n) in chain.iter().enumerate() {
-        if !doc.node(n).is_element() || n == doc.root() {
-            continue;
+    emit_node_features(page, n, level, 0, buf, sink);
+    // Sibling number of the chain node itself (4th tuple slot).
+    let sib = doc.element_sibling_number(n).min(9);
+    let b = buf.begin();
+    let _ = write!(b, "s:sib={sib}@l{level}");
+    sink.accept(buf.as_str());
+    // Siblings of ancestors (not of the leaf node itself — the paper
+    // examines "ancestors of the node, and siblings of those ancestors").
+    if level >= 1 {
+        // Borrowed out of the scratch: it cannot be read while `buf`
+        // assembles names.
+        let mut sibs = std::mem::take(&mut buf.sibs);
+        doc.sibling_window_into(n, cfg.sibling_width, &mut sibs);
+        for &(off, sib_node) in &sibs {
+            emit_node_features(page, sib_node, level, off, buf, sink);
         }
-        emit_node_features(page, n, level, 0, buf, sink);
-        // Sibling number of the chain node itself (4th tuple slot).
-        let sib = doc.element_sibling_number(n).min(9);
-        let b = buf.begin();
-        let _ = write!(b, "s:sib={sib}@l{level}");
-        sink.accept(buf.as_str());
-        // Siblings of ancestors (not of the leaf node itself — the
-        // paper examines "ancestors of the node, and siblings of those
-        // ancestors").
-        if level >= 1 {
-            doc.sibling_window_into(n, cfg.sibling_width, &mut sibs);
-            for &(off, sib_node) in &sibs {
-                emit_node_features(page, sib_node, level, off, buf, sink);
-            }
-        }
+        buf.sibs = sibs;
     }
-    buf.chain = chain;
-    buf.sibs = sibs;
 }
 
 fn text_features(
@@ -493,29 +606,45 @@ fn text_features(
     if frequent_set.is_empty() {
         return;
     }
-    let doc = &page.doc;
-    // The ancestor subtree scanned for nearby frequent strings.
-    let scope = doc.ancestors(node).take(cfg.text_feature_levels).last().unwrap_or(node);
-    let mut scanned = 0usize;
-    for f in &page.fields {
-        if f.node == node {
-            continue;
-        }
-        // O(1) Euler-interval test, ≡ `f.node == scope || is_ancestor(…)`.
-        if !page.in_subtree(scope, f.node) {
-            continue;
-        }
-        if scanned >= cfg.max_nearby_fields {
-            break;
-        }
-        scanned += 1;
+    for (_, f) in nearby_fields(cfg, page, node) {
         if frequent_set.contains(&f.norm) {
-            let b = buf.begin();
-            let _ = write!(b, "t:{}@", &f.norm[..f.norm.len().min(30)]);
-            doc.relative_path_into(node, f.node, b);
-            sink.accept(buf.as_str());
+            sink.accept(text_name(buf, &page.doc, &f.norm, node, f.node));
         }
     }
+}
+
+/// The fields the nearby-text scan examines for `node`, with their
+/// indices, in page order: every field other than `node` inside the
+/// ancestor subtree `text_feature_levels` up, at most
+/// `max_nearby_fields` of them.
+fn nearby_fields<'p>(
+    cfg: &FeatureConfig,
+    page: &'p PageView,
+    node: NodeId,
+) -> impl Iterator<Item = (usize, &'p FieldInfo)> + 'p {
+    let scope = page.doc.ancestors(node).take(cfg.text_feature_levels).last().unwrap_or(node);
+    page.fields
+        .iter()
+        .enumerate()
+        // O(1) Euler-interval test, ≡ `f.node == scope || is_ancestor(…)`.
+        .filter(move |(_, f)| f.node != node && page.in_subtree(scope, f.node))
+        .take(cfg.max_nearby_fields)
+}
+
+/// `t:{norm, at most 30 bytes}@{relative path from node to field}`. The
+/// cut backs off to a char boundary, so a long multibyte label is
+/// shortened instead of panicking the page.
+fn text_name<'b>(
+    buf: &'b mut NameBuf,
+    doc: &Document,
+    norm: &str,
+    node: NodeId,
+    field: NodeId,
+) -> &'b str {
+    let b = buf.begin();
+    let _ = write!(b, "t:{}@", &norm[..norm.floor_char_boundary(30)]);
+    doc.relative_path_into(node, field, b);
+    buf.as_str()
 }
 
 fn emit_node_features(
@@ -635,7 +764,24 @@ mod tests {
     }
 
     #[test]
-    fn frozen_twins_match_the_interning_path() {
+    fn long_multibyte_frequent_strings_cut_on_a_char_boundary() {
+        // 31 bytes: 'a' then fifteen 2-byte 'é's, so byte 30 falls inside
+        // the last one.
+        let label = format!("a{}", "é".repeat(15));
+        let html = format!("<div><b>{label}</b><i>v</i></div>");
+        let (p1, p2) = (page(&html), page(&html));
+        let mut space = FeatureSpace::new(&[&p1, &p2], FeatureConfig::default());
+        assert!(space.frequent.contains(&label));
+        let names = feats_of(&mut space, &p1, 1);
+        let cut = format!("t:a{}@", "é".repeat(14));
+        assert!(names.iter().any(|n| n.starts_with(&cut)), "{names:?}");
+        space.freeze();
+        let mut fz = space.page_featurizer(&p2);
+        assert_eq!(fz.features(p2.fields[1].node), space.features(&p2, p2.fields[1].node));
+    }
+
+    #[test]
+    fn frozen_paths_match_the_interning_path() {
         let pv = page(
             r#"<div class="info"><span class="l">Director:</span><span class="v">Someone</span></div>"#,
         );
@@ -643,11 +789,11 @@ mod tests {
         let trained = space.features(&pv, pv.fields[1].node);
         space.freeze();
         // Same page: identical vectors through &self and &mut self.
-        assert_eq!(space.features_frozen(&pv, pv.fields[1].node), trained);
+        assert_eq!(space.page_featurizer(&pv).features(pv.fields[1].node), trained);
         assert_eq!(space.features(&pv, pv.fields[1].node), trained);
         // Unseen page: unknown names dropped identically by both paths.
         let pv2 = page(r#"<div class="fresh"><span class="l">Director:</span></div>"#);
-        let a = space.features_frozen(&pv2, pv2.fields[0].node);
+        let a = space.page_featurizer(&pv2).features(pv2.fields[0].node);
         let b = space.features(&pv2, pv2.fields[0].node);
         assert_eq!(a, b);
         let p = space.pair_features_frozen(&pv, pv.fields[0].node, pv.fields[1].node);
@@ -676,12 +822,55 @@ mod tests {
         // The dictionaries grew identically → frozen lookups agree too.
         by_sink.freeze();
         by_ref.freeze();
+        let mut featurizer = by_sink.page_featurizer(&pv);
         for f in &pv.fields {
-            let a = by_sink.features_frozen_with(&pv, f.node, &mut scratch);
+            let a = featurizer.features(f.node);
             let names = by_ref.collect_names(&pv, f.node);
             let idx: Vec<u32> = names.iter().filter_map(|n| by_ref.dict.get(n)).collect();
             assert_eq!(a, SparseVec::from_indices(idx));
         }
+    }
+
+    #[test]
+    fn featurizer_resolves_shared_blocks_and_text_names_once() {
+        // Three label/value rows under one list: the value spans share
+        // every ancestor block above level 0, and the same label strings
+        // recur at the same (LCA, up) from the sibling fields.
+        let htmls: Vec<String> = (0..3)
+            .map(|i| {
+                format!(
+                    "<ul class=info><li><b>Director:</b><i>D{i}</i></li>\
+                     <li><b>Writer:</b><i>W{i}</i></li><li><b>Genre:</b><i>G{i}</i></li></ul>"
+                )
+            })
+            .collect();
+        let kb = empty_kb();
+        let pages: Vec<PageView> = htmls.iter().map(|h| PageView::build("p", h, &kb)).collect();
+        let refs: Vec<&PageView> = pages.iter().collect();
+        let mut space = FeatureSpace::new(&refs, FeatureConfig::default());
+        for pv in &pages {
+            for f in &pv.fields {
+                space.features(pv, f.node);
+            }
+        }
+        space.freeze();
+        let pv = &pages[0];
+        let mut fz = space.page_featurizer(pv);
+        let mut chain_steps = 0;
+        for f in &pv.fields {
+            let names = space.collect_names(pv, f.node);
+            let reference: Vec<u32> = names.iter().filter_map(|n| space.dict.get(n)).collect();
+            assert_eq!(fz.features(f.node), SparseVec::from_indices(reference));
+            chain_steps += 1 + pv.doc.ancestors(f.node).filter(|&a| a != pv.doc.root()).count();
+        }
+        assert!(
+            fz.blocks.len() < chain_steps,
+            "{} blocks for {chain_steps} steps",
+            fz.blocks.len()
+        );
+        assert!(!fz.text.is_empty());
+        assert_eq!(fz.frequent.len(), pv.fields.len());
+        assert!(fz.frequent.iter().any(|&f| f) && fz.frequent.iter().any(|&f| !f));
     }
 
     #[test]

@@ -381,29 +381,66 @@ impl Document {
 
     /// [`Document::relative_path`] **appending** to `out` (not clearing it),
     /// so feature names can be assembled around the path in one buffer.
+    /// Allocation-free: the lowest common ancestor comes from a depth walk
+    /// (lift the deeper node to the other's depth, then climb both in
+    /// lockstep), and the down-steps are emitted from a fixed-size stack.
     pub fn relative_path_into(&self, from: NodeId, to: NodeId, out: &mut String) {
-        // Collect ancestor chains (self included) up to the root.
-        let chain = |mut n: NodeId| -> Vec<NodeId> {
-            let mut v = vec![n];
-            while let Some(p) = self.node(n).parent {
-                v.push(p);
-                n = p;
-            }
-            v
-        };
-        let from_chain = chain(from);
-        let to_chain = chain(to);
-        let from_set: FxHashSet<NodeId> = from_chain.iter().copied().collect();
-        // Lowest common ancestor = first node of to_chain present in from_chain.
-        let lca = *to_chain.iter().find(|n| from_set.contains(n)).unwrap_or(&self.root);
-        let up = from_chain.iter().position(|&n| n == lca).unwrap_or(0);
-        let _ = write!(out, "^{up}");
-        // Steps from the LCA down to `to`.
-        let lca_pos = to_chain.iter().position(|&n| n == lca).unwrap_or(0);
-        for &n in to_chain[..lca_pos].iter().rev() {
-            let tag = self.node(n).tag().unwrap_or("#text");
-            let _ = write!(out, "/{}[{}]", tag, self.xpath_index(n));
+        let (mut a, mut b) = (from, to);
+        let (mut da, mut db) = (self.depth(a), self.depth(b));
+        let (mut up, mut down) = (0usize, 0usize);
+        while da > db {
+            a = self.parent_or_root(a);
+            da -= 1;
+            up += 1;
         }
+        while db > da {
+            b = self.parent_or_root(b);
+            db -= 1;
+            down += 1;
+        }
+        // Equal depths: both reach the root together at the latest.
+        while a != b && da > 0 {
+            a = self.parent_or_root(a);
+            b = self.parent_or_root(b);
+            da -= 1;
+            up += 1;
+            down += 1;
+        }
+        let _ = write!(out, "^{up}");
+        self.write_down_steps(to, down, out);
+    }
+
+    /// Append `/tag[i]` for the `down` nodes on the path that ends at `to`,
+    /// nearest the common ancestor first. Writes in chunks through a fixed
+    /// stack: each chunk re-walks up from `to`, so paths longer than one
+    /// chunk cost extra parent hops but never an allocation.
+    fn write_down_steps(&self, to: NodeId, down: usize, out: &mut String) {
+        const CHUNK: usize = 16;
+        let mut stack = [self.root; CHUNK];
+        let mut done = 0;
+        while done < down {
+            let n = (down - done).min(CHUNK);
+            // Path nodes p_1 (below the ancestor) … p_down (= `to`); this
+            // chunk is p_{done+1} … p_{done+n}.
+            let mut cur = to;
+            for _ in 0..down - done - n {
+                cur = self.parent_or_root(cur);
+            }
+            for slot in stack[..n].iter_mut().rev() {
+                *slot = cur;
+                cur = self.parent_or_root(cur);
+            }
+            for &node in &stack[..n] {
+                let tag = self.node(node).tag().unwrap_or("#text");
+                let _ = write!(out, "/{}[{}]", tag, self.xpath_index(node));
+            }
+            done += n;
+        }
+    }
+
+    #[inline]
+    fn parent_or_root(&self, id: NodeId) -> NodeId {
+        self.node(id).parent.unwrap_or(self.root)
     }
 
     /// Serialize back to HTML (used in tests for parse/serialize roundtrips
@@ -488,5 +525,77 @@ impl Iterator for AncestorIter<'_> {
         let id = self.next?;
         self.next = self.doc.node(id).parent;
         Some(id)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::parse::parse_html;
+    use proptest::prelude::*;
+
+    /// The chain-and-set formulation `relative_path_into` replaced: both
+    /// ancestor chains as vectors, the LCA as the first node of `to`'s
+    /// chain present in `from`'s. Kept to pin the depth walk to it.
+    fn relative_path_reference(doc: &Document, from: NodeId, to: NodeId) -> String {
+        let chain = |mut n: NodeId| -> Vec<NodeId> {
+            let mut v = vec![n];
+            while let Some(p) = doc.node(n).parent {
+                v.push(p);
+                n = p;
+            }
+            v
+        };
+        let from_chain = chain(from);
+        let to_chain = chain(to);
+        let from_set: FxHashSet<NodeId> = from_chain.iter().copied().collect();
+        let lca = *to_chain.iter().find(|n| from_set.contains(n)).unwrap_or(&doc.root);
+        let up = from_chain.iter().position(|&n| n == lca).unwrap_or(0);
+        let mut out = format!("^{up}");
+        let lca_pos = to_chain.iter().position(|&n| n == lca).unwrap_or(0);
+        for &n in to_chain[..lca_pos].iter().rev() {
+            let tag = doc.node(n).tag().unwrap_or("#text");
+            let _ = write!(out, "/{}[{}]", tag, doc.xpath_index(n));
+        }
+        out
+    }
+
+    fn assert_all_pairs_match(doc: &Document) {
+        for from in doc.all_nodes() {
+            for to in doc.all_nodes() {
+                assert_eq!(
+                    doc.relative_path(from, to),
+                    relative_path_reference(doc, from, to),
+                    "from={from:?} to={to:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn relative_path_matches_reference_past_one_stack_chunk() {
+        // 40 nested levels: down-paths longer than the 16-slot stack are
+        // written in several chunks.
+        let deep = format!("<p>top</p>{}bottom{}", "<div>".repeat(40), "</div>".repeat(40));
+        let doc = parse_html(&deep);
+        assert!(doc.max_depth() > 32);
+        assert_all_pairs_match(&doc);
+        let mut appended = String::from("t:x@");
+        let (top, bottom) = (doc.text_fields()[0], *doc.text_fields().last().unwrap());
+        doc.relative_path_into(top, bottom, &mut appended);
+        assert_eq!(appended, format!("t:x@{}", relative_path_reference(&doc, top, bottom)));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Every ordered node pair of random taggy pages (root and text
+        /// nodes included) renders byte-identically to the reference.
+        #[test]
+        fn relative_path_equals_the_chain_reference(
+            s in "(<(div|p|b|ul|li)>|</(div|p|b|ul|li)>|[a-z &;<>]{0,6}){0,30}"
+        ) {
+            assert_all_pairs_match(&parse_html(&s));
+        }
     }
 }

@@ -31,6 +31,7 @@ pub const RULE_CODES: &[&str] =
 /// quarantined page or a dead session. CL003 denies the panic family here.
 const SERVE_PATH_SUFFIXES: &[&str] = &[
     "crates/core/src/extract.rs",
+    "crates/core/src/features.rs",
     "crates/core/src/page.rs",
     "crates/core/src/session.rs",
     "crates/ml/src/logreg.rs",

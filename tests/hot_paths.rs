@@ -1,8 +1,8 @@
 //! Equivalence suite for the allocation-free hot paths: the streaming
-//! feature sinks, the sharded borrow-returning KB matcher, and the
-//! pool-backed runtime must each be **byte-identical** to their
-//! straightforward reference implementations on realistic (SWDE movie
-//! vertical) data.
+//! feature sinks, the memoized page featurizer, the sharded
+//! borrow-returning KB matcher, and the pool-backed runtime must each be
+//! **byte-identical** to their straightforward reference implementations
+//! on realistic (SWDE movie vertical, long-tail CommonCrawl) data.
 
 use ceres::core::config::FeatureConfig;
 use ceres::core::features::{FeatureScratch, FeatureSink, FeatureSpace, NameArena};
@@ -10,6 +10,7 @@ use ceres::core::page::PageView;
 use ceres::kb::{Kb, KbBuilder, MatcherConfig, ValueId, ValueKind};
 use ceres::ml::{FeatureDict, SparseVec};
 use ceres::prelude::*;
+use ceres::synth::commoncrawl;
 use ceres::synth::swde::{movie_vertical, SwdeConfig};
 use ceres::text::normalize;
 use proptest::prelude::*;
@@ -103,17 +104,112 @@ fn sink_vectors_equal_reference_path_on_movie_vertical() {
             );
         }
     }
-    assert_eq!(by_sink.dict.len(), by_ref.dict.len(), "dictionaries must grow identically");
+    assert_eq!(by_sink.dict.names(), by_ref.dict.names(), "dictionaries must grow identically");
     assert!(by_sink.dict.len() > 100, "fixture too small: {} features", by_sink.dict.len());
 
     by_sink.freeze();
-    by_ref.freeze();
-    for pv in &views {
+    assert_featurizer_matches_reference(&by_sink, &views);
+}
+
+/// Intern every field of `train` (the training path) and freeze.
+fn trained_space(train: &[&PageView], cfg: FeatureConfig) -> FeatureSpace {
+    let mut space = FeatureSpace::new(train, cfg);
+    let mut scratch = FeatureScratch::new();
+    for pv in train {
         for f in &pv.fields {
-            let a = by_sink.features_frozen_with(pv, f.node, &mut scratch);
-            let names = by_ref.collect_names(pv, f.node);
-            let idx: Vec<u32> = names.iter().filter_map(|n| by_ref.dict.get(n)).collect();
-            assert_eq!(a, SparseVec::from_indices(idx), "frozen path: {} {:?}", pv.page_id, f.node);
+            space.features_with(pv, f.node, &mut scratch);
+        }
+    }
+    space.freeze();
+    space
+}
+
+/// The page featurizer vs resolving every `collect_names` name against the
+/// frozen dictionary, on every field of every page (one featurizer per
+/// page, as `extract_page` uses it). Returns the number of fields checked.
+fn assert_featurizer_matches_reference(space: &FeatureSpace, pages: &[PageView]) -> usize {
+    let mut checked = 0;
+    for pv in pages {
+        let mut featurizer = space.page_featurizer(pv);
+        for f in &pv.fields {
+            let names = space.collect_names(pv, f.node);
+            let idx: Vec<u32> = names.iter().filter_map(|n| space.dict.get(n)).collect();
+            assert_eq!(
+                featurizer.features(f.node),
+                SparseVec::from_indices(idx),
+                "featurizer: {} {:?}",
+                pv.page_id,
+                f.node
+            );
+            checked += 1;
+        }
+    }
+    checked
+}
+
+/// Parsed views of a site's pages.
+fn views_of(site: &ceres::synth::Site, kb: &Kb) -> Vec<PageView> {
+    site.pages.iter().map(|p| PageView::build(&p.id, &p.html, kb)).collect()
+}
+
+/// Train on the even pages, check every page (seen and unseen ones).
+fn check_site(views: &[PageView], cfg: FeatureConfig) -> (FeatureSpace, usize) {
+    let train: Vec<&PageView> = views.iter().step_by(2).collect();
+    let space = trained_space(&train, cfg);
+    let checked = assert_featurizer_matches_reference(&space, views);
+    (space, checked)
+}
+
+/// Three movie sites and two long-tail sites: Czech labels with
+/// diacritics, and a site mixing film, person and index templates.
+fn equivalence_corpus() -> Vec<(String, Vec<PageView>)> {
+    let (v, _) = movie_vertical(SwdeConfig { seed: 13, scale: 0.02 });
+    let mut out: Vec<(String, Vec<PageView>)> =
+        v.sites.iter().take(3).map(|s| (s.name.clone(), views_of(s, &v.kb))).collect();
+    let cc = commoncrawl::generate(5, 0.002);
+    for name in ["kinobox.cz", "rottentomatoes.com"] {
+        let site = cc.sites.iter().find(|s| s.name == name).expect("long-tail site present");
+        out.push((site.name.clone(), views_of(site, &cc.kb)));
+    }
+    out
+}
+
+#[test]
+fn featurizer_equals_reference_on_movie_and_longtail_sites() {
+    for (name, views) in equivalence_corpus() {
+        let (space, checked) = check_site(&views, FeatureConfig::default());
+        assert!(!space.frequent.is_empty(), "{name}: no frequent strings, no text features");
+        assert!(checked > 500, "{name}: fixture too small ({checked} fields)");
+    }
+}
+
+#[test]
+fn featurizer_equals_reference_across_feature_configs() {
+    let corpus = equivalence_corpus();
+    for (name, views) in [&corpus[0], &corpus[3]] {
+        let deepest = views.iter().map(|pv| pv.doc.max_depth()).max().unwrap_or(0);
+        let nearby_cap = 3;
+        let cap_bites = views.iter().any(|pv| {
+            pv.fields.iter().any(|f| {
+                let levels = FeatureConfig::default().text_feature_levels;
+                let scope = pv.doc.ancestors(f.node).take(levels).last().unwrap_or(f.node);
+                let nearby = pv
+                    .fields
+                    .iter()
+                    .filter(|g| g.node != f.node && pv.in_subtree(scope, g.node))
+                    .count();
+                nearby > nearby_cap
+            })
+        });
+        assert!(cap_bites, "{name}: max_nearby_fields={nearby_cap} never bites");
+        let variants = [
+            FeatureConfig { enable_structural: false, ..FeatureConfig::default() },
+            FeatureConfig { enable_text: false, ..FeatureConfig::default() },
+            FeatureConfig { max_nearby_fields: nearby_cap, ..FeatureConfig::default() },
+            FeatureConfig { max_ancestor_levels: deepest + 4, ..FeatureConfig::default() },
+        ];
+        for cfg in variants {
+            check_site(views, cfg);
         }
     }
 }
@@ -187,6 +283,32 @@ proptest! {
                 prop_assert_eq!(dict.get(name), ref_dict.get(name));
             }
         }
+    }
+
+    /// On random taggy pages (the `page.rs` generator), the memoized
+    /// featurizer equals the per-name reference — on the page the space
+    /// was trained on and on an unseen one. The training page is seen
+    /// twice, so every one of its short texts is a frequent string.
+    #[test]
+    fn prop_featurizer_equals_reference_on_taggy_pages(
+        seen in "(<(div|p|b)>|</(div|p|b)>|[a-z &;<>]{0,6}){0,30}",
+        unseen in "(<(div|p|b)>|</(div|p|b)>|[a-z &;<>]{0,6}){0,30}",
+        nearby_cap in 1usize..50,
+    ) {
+        let kb = KbBuilder::new(ceres::kb::Ontology::new()).build();
+        let views: Vec<PageView> = [&seen, &seen, &unseen]
+            .iter()
+            .enumerate()
+            .map(|(i, h)| PageView::build(&format!("p{i}"), h, &kb))
+            .collect();
+        let train: Vec<&PageView> = views.iter().take(2).collect();
+        let cfg = FeatureConfig {
+            frequent_string_page_frac: 0.0,
+            max_nearby_fields: nearby_cap,
+            ..FeatureConfig::default()
+        };
+        let space = trained_space(&train, cfg);
+        assert_featurizer_matches_reference(&space, &views);
     }
 
     /// Random name sets survive the NameArena pack/replay round-trip with
